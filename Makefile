@@ -78,41 +78,47 @@ BENCH_SERVER_JSON ?= BENCH_server.json
 # (benchdiff -agg min) so shared-runner noise doesn't gate single samples.
 BENCH_COUNT ?= 1
 
+# Each awk below echoes every benchmark line to stderr through awk's
+# "/dev/stderr" special file, which writes to the inherited descriptor.
+# A `tee /dev/stderr` would reopen the path, and when stderr is redirected
+# to a file (make bench 2>log) each reopen truncates it, leaving only the
+# last package's lines.
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench . -benchtime 200ms -count $(BENCH_COUNT) -run '^$$' ./internal/interp | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v compiled=$(BENCH_COMPILED_JSON) '/^Benchmark/ { \
+	$(GO) test -bench . -benchtime 200ms -count $(BENCH_COUNT) -run '^$$' ./internal/interp | \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v compiled=$(BENCH_COMPILED_JSON) '{ print > "/dev/stderr" } /^Benchmark/ { \
 		rec = sprintf("{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3); \
 		if ($$6 == "ns/instr") rec = rec sprintf(",\"ns_per_instr\":%s", $$5); \
 		rec = rec "}"; print rec; \
 		if ($$1 ~ /\/compiled/) print rec >> compiled }' >> $(BENCH_JSON)
 	$(GO) test -bench 'Triage|VerifySSA' -benchtime 100ms -count $(BENCH_COUNT) -run '^$$' \
-		./internal/analysis ./internal/fault | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
+		./internal/analysis ./internal/fault | \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '{ print > "/dev/stderr" } /^Benchmark/ { \
 		printf "{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3; \
 		for (i = 5; i < NF; i += 2) \
 			if ($$(i+1) ~ /^[a-z_]+$$/) printf ",\"%s\":%s", $$(i+1), $$i; \
 		print "}" }' >> $(BENCH_ANALYSIS_JSON)
 	$(GO) test -bench DetectorCampaign -benchtime 50ms -count $(BENCH_COUNT) -run '^$$' \
-		./internal/harness | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
+		./internal/harness | \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '{ print > "/dev/stderr" } /^Benchmark/ { \
 		rec = sprintf("{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3); \
 		if ($$6 == "ns/trial") rec = rec sprintf(",\"ns_per_trial\":%s", $$5); \
 		rec = rec "}"; print rec }' >> $(BENCH_DETECTORS_JSON)
 	$(GO) test -bench Incremental -benchtime 1x -count $(BENCH_COUNT) -run '^$$' \
-		./internal/pipeline | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
+		./internal/pipeline | \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '{ print > "/dev/stderr" } /^Benchmark/ { \
 		printf "{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s}\n", ts, $$1, $$2, $$3 }' >> $(BENCH_INCREMENTAL_JSON)
 	$(GO) test -bench Triage2 -benchtime 50ms -count $(BENCH_COUNT) -run '^$$' \
-		./internal/harness | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
+		./internal/harness | \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '{ print > "/dev/stderr" } /^Benchmark/ { \
 		rec = sprintf("{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3); \
 		if ($$6 == "ns/trial") rec = rec sprintf(",\"ns_per_trial\":%s", $$5); \
 		if ($$8 == "pruned_frac") rec = rec sprintf(",\"pruned_frac\":%s", $$7); \
 		rec = rec "}"; print rec }' >> $(BENCH_TRIAGE2_JSON)
 	$(GO) test -bench 'ServerCampaign|DirectCampaign|JobKey' -benchtime 1x -count $(BENCH_COUNT) -run '^$$' \
-		./internal/server | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
+		./internal/server | \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '{ print > "/dev/stderr" } /^Benchmark/ { \
 		printf "{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3; \
 		for (i = 5; i < NF; i += 2) \
 			if ($$(i+1) ~ /^[a-z_]+$$/) printf ",\"%s\":%s", $$(i+1), $$i; \

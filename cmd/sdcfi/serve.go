@@ -5,10 +5,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/server"
@@ -80,8 +83,26 @@ func cmdServe(args []string) int {
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 	}
-	if err := hs.ListenAndServe(); err != nil {
+	// On SIGINT/SIGTERM, stop taking requests, then close the scheduler:
+	// running jobs park at their next shard boundary with their records
+	// non-terminal, and a restart on the same store resumes them.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
 		return fail(err)
+	case <-sig:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = hs.Shutdown(ctx)
+	if cerr := srv.Close(ctx); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fail(fmt.Errorf("serve: shutdown: %w", err))
 	}
 	return 0
 }

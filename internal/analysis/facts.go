@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -51,26 +50,13 @@ type Facts struct {
 // single-build test; see export_test.go).
 var factsBuilds atomic.Int64
 
-// factsKey identifies one immutable module snapshot, mirroring the
-// (pointer, version) identity the interpreter's image cache uses.
-type factsKey struct {
-	mod     *ir.Module
-	version uint64
-}
-
-var factsCache sync.Map // factsKey -> *Facts
+var factsCache ir.Memo[*Facts]
 
 // FactsFor returns the memoized fact bundle of m's current finalized
 // snapshot, computing it on first use. Modules are analyzed at most
-// once per Finalize generation.
+// once per Finalize generation while memoized.
 func FactsFor(m *ir.Module) *Facts {
-	key := factsKey{mod: m, version: m.Version()}
-	if v, ok := factsCache.Load(key); ok {
-		return v.(*Facts)
-	}
-	fa := buildFacts(m)
-	actual, _ := factsCache.LoadOrStore(key, fa)
-	return actual.(*Facts)
+	return factsCache.Get(m, buildFacts)
 }
 
 // buildFacts runs every analysis over m in dependency order.

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -67,6 +68,11 @@ type Golden struct {
 	DynInstrs  int64
 	Cycles     int64
 	Profile    *interp.Profile
+
+	// ckpt holds the golden-prefix checkpoints campaign trials resume
+	// from, built lazily by the first campaign batch that uses them (see
+	// Campaign.checkpoints). It is never encoded or hashed.
+	ckpt atomic.Pointer[ckptCell]
 }
 
 // RunGolden executes the module fault-free with profiling and returns the
@@ -381,7 +387,9 @@ func (c *Campaign) runSitesModel(m Model, sites []interp.Fault) []Outcome {
 }
 
 // execSites executes fault sites in parallel and returns one outcome per
-// site (index-aligned), deterministic for fixed sites.
+// site (index-aligned), deterministic for fixed sites. Every trial of
+// every campaign passes through here, so this is where trials resume
+// from the golden run's checkpoints; outcomes are identical either way.
 func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	t0 := time.Now()
 	sp := c.Obs.Start("fi-batch")
@@ -389,6 +397,7 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	defer sp.End()
 	outcomes := make([]Outcome, len(sites))
 	cfg := faultyConfig(c.Cfg, c.Golden)
+	ck := c.checkpoints(cfg, len(sites))
 	nw := c.workers()
 	if nw > len(sites) {
 		nw = len(sites)
@@ -396,12 +405,17 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	if nw <= 1 {
 		r := interp.NewRunner(c.Mod, cfg)
 		busy := time.Now()
+		var st ckptStats
 		for i := range sites {
-			// RunScratch: Classify consumes Output before the runner's
-			// next run reuses the buffer, so the per-trial copy is waste.
-			outcomes[i] = Classify(c.Golden, r.RunScratch(c.Bind, &sites[i], nil))
+			// Scratch results: Classify consumes Output before the
+			// runner's next run reuses the buffer, so a per-trial copy
+			// is waste.
+			res, rs := r.RunScratchFrom(ck, c.Bind, &sites[i])
+			st.add(rs)
+			outcomes[i] = Classify(c.Golden, res)
 		}
 		c.Metrics.AddBusy(time.Since(busy))
+		c.publishCkpt(st)
 		c.finishSites(outcomes, 1, t0)
 		return outcomes
 	}
@@ -425,13 +439,16 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 		go func(r *interp.Runner) {
 			defer wg.Done()
 			var busy time.Duration
+			var st ckptStats
 			for i := range next {
 				t := time.Now()
-				res := r.RunScratch(c.Bind, &sites[i], nil)
+				res, rs := r.RunScratchFrom(ck, c.Bind, &sites[i])
 				busy += time.Since(t)
+				st.add(rs)
 				outcomes[i] = Classify(c.Golden, res)
 			}
 			c.Metrics.AddBusy(busy)
+			c.publishCkpt(st)
 		}(runners[w])
 	}
 	wg.Wait()

@@ -459,7 +459,23 @@ func (r *Runner) sizeScratch() {
 }
 
 func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Result {
-	r.setup(bind)
+	r.arm(fault, prof)
+	rc := obsCounters.Load()
+	var edgeBase int64
+	if rc != nil && prof != nil {
+		edgeBase = edgeTotal(prof)
+	}
+	eng := r.resolveEngine()
+	r.schedule(r.begin(bind, eng))
+	res := r.result(copyOut)
+	if rc != nil {
+		rc.recordRun(&res, eng, prof, edgeBase)
+	}
+	return res
+}
+
+// arm installs the next run's fault and profile.
+func (r *Runner) arm(fault *Fault, prof *Profile) {
 	r.fault = fault
 	r.faultSeen = 0
 	r.prof = prof
@@ -471,51 +487,57 @@ func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Re
 	if fault != nil {
 		r.faultID = int32(fault.InstrID)
 	}
+}
 
-	rc := obsCounters.Load()
-	var edgeBase int64
-	if rc != nil && prof != nil {
-		edgeBase = edgeTotal(prof)
-	}
-
+// begin lays out memory for bind, pushes the entry frame on a fresh main
+// thread, and returns the quantum executor for eng under the armed mode.
+func (r *Runner) begin(bind Binding, eng Engine) func(*thread, int) {
+	r.setup(bind)
 	entry := r.mod.Entry()
-	eng := r.resolveEngine()
+	t := r.newThread()
 	switch eng {
 	case EngineLegacy:
-		main := r.mod.Funcs[entry]
-		t := r.newThread()
-		r.pushFrame(t, main, bind.Args, -1)
-		r.schedule(r.runQuantum)
+		r.pushFrame(t, r.mod.Funcs[entry], bind.Args, -1)
 	case EngineCompiled:
 		main := r.comp.funcs[entry]
-		t := r.newThread()
 		r.pushCFrame(t, main, bind.Args, -1, -1, 0)
-		if prof != nil {
-			prof.BlockCount[main.ifn.entryBlock]++
+		if r.prof != nil {
+			r.prof.BlockCount[main.ifn.entryBlock]++
 		}
-		r.schedule(r.quantumCompiled)
 	default:
 		main := r.img.funcs[entry]
-		t := r.newThread()
 		r.pushIFrame(t, main, bind.Args, -1, -1, 0)
-		if prof != nil {
-			prof.BlockCount[main.entryBlock]++
-		}
-		switch {
-		case fault != nil:
-			r.schedule(r.quantumFault)
-		case prof != nil:
-			r.schedule(r.quantumProfiled)
-		default:
-			r.schedule(r.quantumPlain)
+		if r.prof != nil {
+			r.prof.BlockCount[main.entryBlock]++
 		}
 	}
+	return r.quantumFor(eng)
+}
 
+// quantumFor returns eng's quantum executor for the armed run mode.
+func (r *Runner) quantumFor(eng Engine) func(*thread, int) {
+	switch {
+	case eng == EngineLegacy:
+		return r.runQuantum
+	case eng == EngineCompiled:
+		return r.quantumCompiled
+	case r.fault != nil:
+		return r.quantumFault
+	case r.prof != nil:
+		return r.quantumProfiled
+	default:
+		return r.quantumPlain
+	}
+}
+
+// result packages the finished run's observables. Without copyOut the
+// Output aliases the runner's buffer (see RunScratch).
+func (r *Runner) result(copyOut bool) Result {
 	out := r.out
 	if copyOut {
 		out = append([]uint64(nil), r.out...)
 	}
-	res := Result{
+	return Result{
 		Status:     r.status,
 		Trap:       r.trap,
 		Output:     out,
@@ -523,10 +545,6 @@ func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Re
 		Cycles:     r.cycles,
 		OutputHash: hashWords(r.out),
 	}
-	if rc != nil {
-		rc.recordRun(&res, eng, prof, edgeBase)
-	}
-	return res
 }
 
 func (r *Runner) setup(bind Binding) {
@@ -583,6 +601,16 @@ func (r *Runner) newThread() *thread {
 	} else {
 		r.mem = append(r.mem, make([]uint64, r.cfg.StackWords)...)
 	}
+	t := r.pooledThread()
+	t.sp = start
+	t.stackEnd = start + r.cfg.StackWords
+	return t
+}
+
+// pooledThread appends a reset thread to r.threads, reusing a pooled
+// struct (and its frame slots) when one is free. The caller sets the
+// stack bounds.
+func (r *Runner) pooledThread() *thread {
 	var t *thread
 	if len(r.threads) < len(r.threadPool) {
 		t = r.threadPool[len(r.threads)]
@@ -594,8 +622,6 @@ func (r *Runner) newThread() *thread {
 		t = &thread{}
 		r.threadPool = append(r.threadPool, t)
 	}
-	t.sp = start
-	t.stackEnd = start + r.cfg.StackWords
 	r.threads = append(r.threads, t)
 	return t
 }

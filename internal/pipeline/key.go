@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/inputgen"
@@ -111,26 +110,15 @@ func (h *Hasher) Sum() Key {
 	return k
 }
 
-// moduleIdent identifies a module value for hash memoization: modules are
-// immutable between Finalize calls, so (pointer, version) pins the content.
-type moduleIdent struct {
-	m *ir.Module
-	v uint64
-}
-
-var moduleHashes sync.Map // moduleIdent -> Key
+var moduleHashes ir.Memo[Key]
 
 // ModuleHash returns the content hash of a module: a SHA-256 over its
 // canonical textual rendering. The hash is memoized per (module pointer,
 // version), so repeated keying of the same module is cheap.
 func ModuleHash(m *ir.Module) Key {
-	id := moduleIdent{m: m, v: m.Version()}
-	if k, ok := moduleHashes.Load(id); ok {
-		return k.(Key)
-	}
-	k := NewHasher("module").Str(m.String()).Sum()
-	moduleHashes.Store(id, k)
-	return k
+	return moduleHashes.Get(m, func(m *ir.Module) Key {
+		return NewHasher("module").Str(m.String()).Sum()
+	})
 }
 
 // BindingHash returns the content hash of an input binding (argument

@@ -19,10 +19,7 @@ func benchSpec(seed int64) JobSpec {
 // service itself, the overhead CI's benchdiff gate tracks).
 func BenchmarkServerCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := New(Options{StoreDir: b.TempDir(), Workers: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := newServer(b, Options{StoreDir: b.TempDir(), Workers: 2})
 		j, _, err := s.Submit(benchSpec(int64(i + 1)))
 		if err != nil {
 			b.Fatal(err)
@@ -42,10 +39,7 @@ func BenchmarkServerCampaign(b *testing.B) {
 // without injecting a fault — 1.0 when key hygiene holds.
 func BenchmarkServerCampaignWarm(b *testing.B) {
 	dir := b.TempDir()
-	warm, err := New(Options{StoreDir: dir, Workers: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+	warm := newServer(b, Options{StoreDir: dir, Workers: 2})
 	j, _, err := warm.Submit(benchSpec(1))
 	if err != nil {
 		b.Fatal(err)
@@ -63,10 +57,7 @@ func BenchmarkServerCampaignWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		s, err := New(Options{StoreDir: dir, Workers: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := newServer(b, Options{StoreDir: dir, Workers: 2})
 		j, _, err := s.Submit(benchSpec(1))
 		if err != nil {
 			b.Fatal(err)

@@ -9,16 +9,11 @@ import (
 	"testing"
 )
 
-// newTestServer starts an in-process HTTP server over a fresh store.
+// newTestServer starts an in-process HTTP server over a fresh store. The
+// HTTP server shuts down before the campaign server closes.
 func newTestServer(t *testing.T, opt Options) (*Server, *Client) {
 	t.Helper()
-	if opt.StoreDir == "" {
-		opt.StoreDir = t.TempDir()
-	}
-	s, err := New(opt)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := newServer(t, opt)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, NewClient(ts.URL)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,6 +17,12 @@ import (
 // artifact is committed (or its execution fails), so the span
 // subtree's Progress is exactly the job's committed/planned counter.
 const shardSpanPrefix = "shard:"
+
+// serverMemEntries bounds the pipeline's in-memory artifact tier. Every
+// shard artifact is committed to the store, and a shard's key includes
+// its job's seed, so jobs rarely share one: a large memory tier would
+// only hold finished jobs' shards for as long as the server runs.
+const serverMemEntries = 256
 
 // Options configures a Server.
 type Options struct {
@@ -71,6 +78,11 @@ type Server struct {
 	active  int
 	tenants map[string]int
 	seq     int64
+
+	// quit closes (under mu) when Close begins; running counts the job
+	// goroutines Close waits for.
+	quit    chan struct{}
+	running sync.WaitGroup
 }
 
 // New builds a server over the given store and resumes every
@@ -96,7 +108,8 @@ func New(opt Options) (*Server, error) {
 	if opt.RetryAfterSeconds <= 0 {
 		opt.RetryAfterSeconds = 1
 	}
-	pipe, err := pipeline.New(pipeline.Options{Workers: opt.Workers, DiskDir: opt.StoreDir})
+	pipe, err := pipeline.New(pipeline.Options{Workers: opt.Workers, DiskDir: opt.StoreDir,
+		MemEntries: serverMemEntries})
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +132,7 @@ func New(opt Options) (*Server, error) {
 		// tenants counts each tenant's queued+running jobs; joiners of
 		// a deduped job are never charged.
 		tenants: make(map[string]int),
+		quit:    make(chan struct{}),
 	}
 	s.resume()
 	return s, nil
@@ -247,14 +261,53 @@ func (s *Server) admitLocked(j *Job, tenant string) *RejectError {
 // cooperative path, not the queued path (which would drain the tenant
 // charge a second time and race finishJob on the done channel).
 func (s *Server) pumpLocked() {
-	for s.active < s.opt.MaxActive && len(s.queue) > 0 {
+	for s.active < s.opt.MaxActive && len(s.queue) > 0 && !s.closing() {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		s.active++
 		j.mu.Lock()
 		j.state = StateRunning
 		j.mu.Unlock()
+		s.running.Add(1)
 		go s.runJob(j)
+	}
+}
+
+// closing reports whether Close has begun.
+func (s *Server) closing() bool {
+	select {
+	case <-s.quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// Close shuts the scheduler down. Queued jobs no longer start; running
+// jobs stop dispatching shards and park at the next shard boundary,
+// leaving their on-disk records non-terminal, so a server restarted on
+// the same store resumes them exactly as after a kill. Close then waits
+// for every job goroutine, and with it every store write, and returns
+// ctx's error if ctx ends first. It does not stop HTTP traffic: shut the
+// http.Server down first. Calling Close again only waits again.
+func (s *Server) Close(ctx context.Context) error {
+	s.mu.Lock()
+	if !s.closing() {
+		// Under mu, so pumpLocked either started its goroutines (and
+		// counted them) before this point or sees the server closing.
+		close(s.quit)
+	}
+	s.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		s.running.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -326,13 +379,17 @@ func (s *Server) Get(id string) (*Job, bool) {
 // dispatch shards across the worker pool, compose, persist. The job is
 // already StateRunning — pumpLocked transitions it before spawning.
 func (s *Server) runJob(j *Job) {
+	defer s.running.Done()
 	s.persistRecord(j, StateRunning, "")
 	span := s.ob.Start("job:" + j.Key.Short())
 	j.mu.Lock()
 	j.span = span
 	j.mu.Unlock()
 	if s.opt.holdJobs != nil {
-		<-s.opt.holdJobs
+		select {
+		case <-s.opt.holdJobs:
+		case <-s.quit:
+		}
 	}
 
 	res, profiles, plans, err := s.runShards(j, span)
@@ -342,13 +399,16 @@ func (s *Server) runJob(j *Job) {
 		s.finishJob(j, StateFailed, err.Error(), nil, false)
 	case j.canceled():
 		s.finishJob(j, StateCanceled, "", nil, false)
-	case s.opt.PreemptAfter > 0 && len(profiles) < len(plans):
-		// The crash-test hook stopped dispatch mid-job. Park without a
-		// terminal record — on disk the job still reads "running", the
-		// state a SIGKILL leaves — so a restarted server resumes it.
-		s.finishJob(j, StateFailed,
-			fmt.Sprintf("preempted after %d of %d shards (crash-test hook)", len(profiles), len(plans)),
-			nil, true)
+	case len(profiles) < len(plans):
+		// The crash-test hook or Close stopped dispatch mid-job. Park
+		// without a terminal record — on disk the job still reads
+		// "running", the state a SIGKILL leaves — so a restarted server
+		// resumes it.
+		msg := fmt.Sprintf("parked after %d of %d shards (server closed)", len(profiles), len(plans))
+		if !s.closing() {
+			msg = fmt.Sprintf("preempted after %d of %d shards (crash-test hook)", len(profiles), len(plans))
+		}
+		s.finishJob(j, StateFailed, msg, nil, true)
 	default:
 		result := BuildResult(j.Spec.Bench, res.input, j.Spec.Seed, j.Spec.Model, res.res, profiles)
 		s.persistResult(j, result)
@@ -440,7 +500,7 @@ func (s *Server) runShards(j *Job, span *obs.Span) (composed, []fault.SectionPro
 		// this serializes shard boundaries, making the crash-test hook
 		// deterministic (exactly PreemptAfter shards commit).
 		gate <- struct{}{}
-		if j.canceled() || failed() ||
+		if j.canceled() || failed() || s.closing() ||
 			(s.opt.PreemptAfter > 0 && committed() >= s.opt.PreemptAfter) {
 			<-gate
 			break
@@ -484,24 +544,33 @@ func (s *Server) runShards(j *Job, span *obs.Span) (composed, []fault.SectionPro
 	return composed{res: res, input: r.prog.Spec.String(r.in)}, flat, plans, nil
 }
 
-// finishJob applies a terminal transition: releases the running slot
-// and tenant charge, persists the terminal record (unless parked by
-// the crash-test hook), and wakes every waiter. A job that is already
-// terminal is left untouched — finishing is single-shot, so two racing
-// paths can never double-release accounting or close done twice.
+// finishJob applies a terminal transition: persists the terminal record
+// (unless parked), then releases the running slot and tenant charge and
+// wakes every waiter. The record is durable before the job is seen to
+// finish, so a server restarted on the same store never re-admits a job
+// a client saw complete. A job that is already terminal is left
+// untouched — finishing is single-shot, so two racing paths can never
+// double-release accounting or close done twice. Every job state
+// transition happens under s.mu, which makes the check and the
+// transition one step.
 func (s *Server) finishJob(j *Job, state, errMsg string, result *Result, park bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
-		s.mu.Unlock()
+	prev := j.state
+	j.mu.Unlock()
+	if terminal(prev) {
 		return
 	}
-	if j.state == StateRunning {
+	if !park {
+		s.persistRecord(j, state, errMsg)
+	}
+	if prev == StateRunning {
 		// Queued cancels drained their tenant charge in Cancel already.
 		s.active--
 		s.tenants[j.Spec.Tenant]--
 	}
+	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
 	if result != nil {
@@ -509,14 +578,10 @@ func (s *Server) finishJob(j *Job, state, errMsg string, result *Result, park bo
 	}
 	close(j.done)
 	j.mu.Unlock()
-	if !park {
-		s.persistRecord(j, state, errMsg)
-	}
 	if state == StateCanceled {
 		s.ob.Counter("server.jobs.canceled").Inc()
 	}
 	s.pumpLocked()
-	s.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------
@@ -561,9 +626,11 @@ func (s *Server) loadResult(key pipeline.Key) (*Result, bool) {
 
 // resume re-admits every persisted non-terminal job (the state a
 // crash, kill, or preemption left behind), in original admission
-// order. Records whose spec no longer hashes to their key — written
-// under an older analysis or section schema — are skipped: their
-// identity is gone and resubmission would silently change semantics.
+// order. A job whose result is committed is terminal whatever its
+// record says: the process may have died between the two writes.
+// Records whose spec no longer hashes to their key — written under an
+// older analysis or section schema — are skipped: their identity is
+// gone and resubmission would silently change semantics.
 func (s *Server) resume() {
 	var recs []jobRecord
 	for _, key := range s.store.Keys(kindJob) {
@@ -576,6 +643,9 @@ func (s *Server) resume() {
 			continue
 		}
 		if terminal(rec.State) {
+			continue
+		}
+		if _, done := s.store.Get(kindJobResult, key); done {
 			continue
 		}
 		r, err := resolve(rec.Spec)

@@ -2,13 +2,37 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/interp"
 )
+
+// newServer builds a server over opt (a fresh store when StoreDir is
+// empty) and closes it when the test ends, before the store directory is
+// removed, so no job goroutine or store write outlives the test.
+func newServer(tb testing.TB, opt Options) *Server {
+	tb.Helper()
+	if opt.StoreDir == "" {
+		opt.StoreDir = tb.TempDir()
+	}
+	s, err := New(opt)
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			tb.Errorf("Close: %v", err)
+		}
+	})
+	return s
+}
 
 // waitDone blocks until the job is terminal and returns its state.
 func waitDone(t *testing.T, j *Job) string {
@@ -45,10 +69,7 @@ func directResult(t *testing.T, spec JobSpec) []byte {
 // returns the canonical result bytes.
 func serverResult(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	s, err := New(Options{StoreDir: t.TempDir(), Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := newServer(t, Options{StoreDir: t.TempDir(), Workers: 2})
 	j, deduped, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -118,10 +139,7 @@ func TestPreemptResumeZeroReinjection(t *testing.T) {
 	spec := JobSpec{Bench: "fft", Trials: 300, Seed: 9}
 	dir := t.TempDir()
 
-	s1, err := New(Options{StoreDir: dir, Workers: 1, PreemptAfter: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s1 := newServer(t, Options{StoreDir: dir, Workers: 1, PreemptAfter: 1})
 	j1, _, err := s1.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -136,10 +154,7 @@ func TestPreemptResumeZeroReinjection(t *testing.T) {
 
 	// "Restart": a fresh server over the same store resumes the parked
 	// job automatically.
-	s2, err := New(Options{StoreDir: dir, Workers: 1})
-	if err != nil {
-		t.Fatalf("New(resume): %v", err)
-	}
+	s2 := newServer(t, Options{StoreDir: dir, Workers: 1})
 	j2, ok := s2.Get(j1.ID)
 	if !ok {
 		t.Fatalf("resumed server does not know job %s", j1.ID)
@@ -169,10 +184,7 @@ func TestPreemptResumeZeroReinjection(t *testing.T) {
 // admitted or charged.
 func TestDedupCrossTenant(t *testing.T) {
 	hold := make(chan struct{})
-	s, err := New(Options{StoreDir: t.TempDir(), Workers: 2, holdJobs: hold})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := newServer(t, Options{StoreDir: t.TempDir(), Workers: 2, holdJobs: hold})
 	spec := JobSpec{Bench: "fft", Trials: 100, Seed: 4, Tenant: "alice"}
 	j1, dedup1, err := s.Submit(spec)
 	if err != nil {
@@ -208,11 +220,8 @@ func TestDedupCrossTenant(t *testing.T) {
 // every duplicate a join.
 func TestConcurrentSubmitStress(t *testing.T) {
 	const distinct, dupsEach = 4, 6
-	s, err := New(Options{StoreDir: t.TempDir(), Workers: 4,
+	s := newServer(t, Options{StoreDir: t.TempDir(), Workers: 4,
 		MaxActive: 2, MaxQueue: distinct * 2, TenantMax: distinct * 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, distinct*dupsEach)
 	jobs := make(chan *Job, distinct*dupsEach)
@@ -263,11 +272,8 @@ func TestConcurrentSubmitStress(t *testing.T) {
 // canceling a queued job drains its slot immediately.
 func TestAdmissionControl(t *testing.T) {
 	hold := make(chan struct{})
-	s, err := New(Options{StoreDir: t.TempDir(), Workers: 1,
+	s := newServer(t, Options{StoreDir: t.TempDir(), Workers: 1,
 		MaxActive: 1, MaxQueue: 1, TenantMax: 2, holdJobs: hold})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	mkSpec := func(seed int64, tenant string) JobSpec {
 		return JobSpec{Bench: "fft", Trials: 50, Seed: seed, Tenant: tenant}
 	}
@@ -322,10 +328,7 @@ func TestAdmissionControl(t *testing.T) {
 // re-close the done channel.
 func TestCancelRunningDrainsOnce(t *testing.T) {
 	hold := make(chan struct{})
-	s, err := New(Options{StoreDir: t.TempDir(), Workers: 1, MaxActive: 1, holdJobs: hold})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := newServer(t, Options{StoreDir: t.TempDir(), Workers: 1, MaxActive: 1, holdJobs: hold})
 	j, _, err := s.Submit(JobSpec{Bench: "fft", Trials: 50, Seed: 1, Tenant: "alice"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -361,11 +364,8 @@ func TestCancelRunningDrainsOnce(t *testing.T) {
 // the original submitter.
 func TestResubmitQuotaFollowsSubmitter(t *testing.T) {
 	hold := make(chan struct{})
-	s, err := New(Options{StoreDir: t.TempDir(), Workers: 1,
+	s := newServer(t, Options{StoreDir: t.TempDir(), Workers: 1,
 		MaxActive: 1, MaxQueue: 4, TenantMax: 1, holdJobs: hold})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	// The filler occupies the only run slot so the target stays queued.
 	filler, _, err := s.Submit(JobSpec{Bench: "fft", Trials: 50, Seed: 1, Tenant: "alice"})
 	if err != nil {
@@ -467,10 +467,7 @@ func TestJobIDContentAddressed(t *testing.T) {
 // TestSubmitValidation rejects malformed specs with plain errors
 // (HTTP 400), never admission errors.
 func TestSubmitValidation(t *testing.T) {
-	s, err := New(Options{StoreDir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := newServer(t, Options{StoreDir: t.TempDir()})
 	for name, spec := range map[string]JobSpec{
 		"zero trials":   {Bench: "fft", Trials: 0, Seed: 1},
 		"bad benchmark": {Bench: "no-such-bench", Trials: 10, Seed: 1},
@@ -493,10 +490,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestRestartServesPersistedResult(t *testing.T) {
 	spec := JobSpec{Bench: "fft", Trials: 120, Seed: 6}
 	dir := t.TempDir()
-	s1, err := New(Options{StoreDir: dir, Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s1 := newServer(t, Options{StoreDir: dir, Workers: 2})
 	j1, _, err := s1.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -506,10 +500,7 @@ func TestRestartServesPersistedResult(t *testing.T) {
 	}
 	want := EncodeResult(j1.Result())
 
-	s2, err := New(Options{StoreDir: dir, Workers: 2})
-	if err != nil {
-		t.Fatalf("New(restart): %v", err)
-	}
+	s2 := newServer(t, Options{StoreDir: dir, Workers: 2})
 	j2, deduped, err := s2.Submit(spec)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
@@ -543,5 +534,91 @@ func TestComposePlannedOverflowShortfall(t *testing.T) {
 	got := serverResult(t, spec)
 	if !bytes.Equal(direct, got) {
 		t.Errorf("small-budget result differs from direct run")
+	}
+}
+
+// TestCloseParksRunningJobs: Close stops a running job at its next shard
+// boundary without a terminal record and waits for its goroutine; a
+// server restarted on the same store resumes the job and completes it
+// with the direct run's bytes. A queued job is never started.
+func TestCloseParksRunningJobs(t *testing.T) {
+	spec := JobSpec{Bench: "fft", Trials: 200, Seed: 4}
+	queued := JobSpec{Bench: "fft", Trials: 200, Seed: 5}
+	dir := t.TempDir()
+	hold := make(chan struct{}) // never closed: Close must release it
+	s1, err := New(Options{StoreDir: dir, Workers: 1, MaxActive: 1, holdJobs: hold})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	j1, _, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	jq, _, err := s1.Submit(queued)
+	if err != nil {
+		t.Fatalf("Submit queued: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s1.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := j1.State(); st != StateFailed {
+		t.Fatalf("running job is %s after Close, want parked (failed)", st)
+	}
+	if st := jq.State(); st != StateQueued {
+		t.Fatalf("queued job is %s after Close, want still queued", st)
+	}
+	if runs := s1.StoreStats().Runs; runs != 0 {
+		t.Fatalf("closed server ran %d shards, want 0", runs)
+	}
+
+	s2 := newServer(t, Options{StoreDir: dir, Workers: 2})
+	for _, sp := range []JobSpec{spec, queued} {
+		r, err := resolve(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ok := s2.Get(jobKey(r).Hex())
+		if !ok {
+			t.Fatalf("restarted server did not resume job seed %d", sp.Seed)
+		}
+		if st := waitDone(t, j); st != StateDone {
+			t.Fatalf("resumed job ended %s: %s", st, j.Status().Error)
+		}
+		if !bytes.Equal(EncodeResult(j.Result()), directResult(t, sp)) {
+			t.Errorf("resumed job seed %d differs from the direct run", sp.Seed)
+		}
+	}
+}
+
+// TestResumeSkipsCommittedResult: a process that died after committing a
+// job's result but before its terminal record leaves a "running" record
+// behind; a restarted server must treat the committed result as
+// terminal and resume nothing.
+func TestResumeSkipsCommittedResult(t *testing.T) {
+	spec := JobSpec{Bench: "fft", Trials: 120, Seed: 8}
+	dir := t.TempDir()
+	s1 := newServer(t, Options{StoreDir: dir, Workers: 2})
+	j, _, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitDone(t, j); st != StateDone {
+		t.Fatalf("job ended %s", st)
+	}
+	s1.persistRecord(j, StateRunning, "") // the record as the crash left it
+
+	s2 := newServer(t, Options{StoreDir: dir, Workers: 2})
+	if n := s2.Obs().Counter("server.jobs.resumed").Value(); n != 0 {
+		t.Fatalf("restart resumed %d jobs, want 0", n)
+	}
+	j2, deduped, err := s2.Submit(spec)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if !deduped || j2.State() != StateDone || s2.StoreStats().Runs != 0 {
+		t.Errorf("resubmit: deduped=%v state=%s runs=%d, want a join of the committed result",
+			deduped, j2.State(), s2.StoreStats().Runs)
 	}
 }

@@ -109,7 +109,7 @@ type ModuleFacts struct {
 	BlockOf []int // instr ID -> block index within its function
 	IndexOf []int // instr ID -> instruction index within its block
 
-	SSA  []bool            // per function: single-assignment register form
+	SSA  []bool // per function: single-assignment register form
 	DU   []*analysis.DefUse
 	CFGs []*analysis.CFG
 
@@ -119,22 +119,11 @@ type ModuleFacts struct {
 	Zero, One []uint64
 }
 
-type factsKey struct {
-	mod     *ir.Module
-	version uint64
-}
-
-var factsCache sync.Map // factsKey -> *ModuleFacts
+var factsCache ir.Memo[*ModuleFacts]
 
 // FactsFor returns the memoized facts of m's current finalized snapshot.
 func FactsFor(m *ir.Module) *ModuleFacts {
-	key := factsKey{mod: m, version: m.Version()}
-	if v, ok := factsCache.Load(key); ok {
-		return v.(*ModuleFacts)
-	}
-	fx := buildFacts(m)
-	actual, _ := factsCache.LoadOrStore(key, fx)
-	return actual.(*ModuleFacts)
+	return factsCache.Get(m, buildFacts)
 }
 
 func buildFacts(m *ir.Module) *ModuleFacts {

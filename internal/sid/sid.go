@@ -236,28 +236,32 @@ func knapsackDP(items []knapItem, capacity float64) []int {
 	for i, it := range items {
 		w[i] = int(it.cost*dpScale + 0.5)
 	}
-	val := make([][]float64, n+1)
-	for i := range val {
-		val[i] = make([]float64, cap+1)
-	}
-	for i := 1; i <= n; i++ {
-		wi, bi := w[i-1], items[i-1].benefit
-		prev, cur := val[i-1], val[i]
+	// Two rolling value rows, plus one flag per (item, capacity) cell
+	// recording that taking the item raised that cell's value. The choices
+	// are read back from the flags, so the table costs a byte per cell
+	// rather than a float64.
+	prev, cur := make([]float64, cap+1), make([]float64, cap+1)
+	took := make([]bool, n*(cap+1))
+	for i := 0; i < n; i++ {
+		wi, bi := w[i], items[i].benefit
+		row := took[i*(cap+1) : (i+1)*(cap+1)]
 		for c := 0; c <= cap; c++ {
 			cur[c] = prev[c]
 			if bi > 0 && wi <= c {
 				if v := prev[c-wi] + bi; v > cur[c] {
 					cur[c] = v
+					row[c] = true
 				}
 			}
 		}
+		prev, cur = cur, prev
 	}
 	var chosen []int
 	c := cap
-	for i := n; i >= 1; i-- {
-		if val[i][c] != val[i-1][c] {
-			chosen = append(chosen, items[i-1].id)
-			c -= w[i-1]
+	for i := n - 1; i >= 0; i-- {
+		if took[i*(cap+1)+c] {
+			chosen = append(chosen, items[i].id)
+			c -= w[i]
 		}
 	}
 	return chosen
