@@ -49,7 +49,7 @@ func main() {
 		seed     = flag.Int64("seed", 2022, "experiment seed")
 		workers  = flag.Int("workers", 0, "FI worker count (0 = GOMAXPROCS)")
 		metrics  = flag.Bool("metrics", false, "report per-phase campaign metrics and cache stats")
-		engine   = flag.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
+		engine   = flag.String("engine", "auto", "execution engine: compiled, legacy, or auto")
 		model    = flag.String("fault-model", "", "fault model to inject (bitflip, bitflip2, byteflip, stuckat0, stuckat1, defect; empty = bitflip)")
 		detector = flag.String("detector", "", "detector portfolio (dup, inv, cfgsig, comma lists, or all; empty = dup)")
 		outDir   = flag.String("out", "results", "directory for per-experiment JSON reports (empty disables)")

@@ -36,7 +36,7 @@ func main() {
 		list     = flag.Bool("list", false, "list available benchmarks and exit")
 		metrics  = flag.Bool("metrics", false, "report per-phase campaign metrics and cache stats")
 		jsonOut  = flag.String("json", "", "write a machine-readable metrics report to this file")
-		engine   = flag.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
+		engine   = flag.String("engine", "auto", "execution engine: compiled, legacy, or auto")
 		analyze  = flag.Bool("analyze", false, "print the static SDC-masking triage report for -bench and exit")
 		incr     = flag.Bool("incremental", false, "key fault-injection artifacts per program section (sectional campaigns); defaults off and reproduces the paper byte-for-byte")
 		cacheDir = flag.String("cache-dir", "", "persist task artifacts under this directory for resumable (and incremental) reruns")

@@ -53,7 +53,7 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "report campaign metrics (outcome histogram, wall/busy time, workers)")
 		incr      = flag.Bool("incremental", false, "run the campaign sectionally: per-section trial apportionment and RNG sub-streams, with a per-section breakdown")
 		jsonOut   = flag.String("json", "", "write a machine-readable metrics report to this file")
-		engine    = flag.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
+		engine    = flag.String("engine", "auto", "execution engine: compiled, legacy, or auto")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event file (Perfetto-loadable) to this path")
 		manifest  = flag.String("manifest", "", "write a run manifest (span tree + metrics registry) to this path")
 		resultOut = flag.String("result-out", "", "write the canonical campaign result document to this path (requires -incremental; byte-comparable to a server job result)")

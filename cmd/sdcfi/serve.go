@@ -52,7 +52,7 @@ func cmdServe(args []string) int {
 		maxActive    = fs.Int("max-active", 0, "concurrently running jobs (0 = 2)")
 		maxQueue     = fs.Int("max-queue", 0, "admission queue bound (0 = 16)")
 		tenantMax    = fs.Int("tenant-max", 0, "per-tenant queued+running bound (0 = max-queue)")
-		engine       = fs.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
+		engine       = fs.String("engine", "auto", "execution engine: compiled, legacy, or auto")
 		preemptAfter = fs.Int("preempt-after", 0, "crash-test hook: park every job after this many committed shards (0 = off)")
 	)
 	fs.Parse(args)

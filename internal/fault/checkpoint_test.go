@@ -54,49 +54,48 @@ func ckptCampaignSites(m *ir.Module, g *Golden, perModel int) []interp.Fault {
 
 // TestCheckpointDifferential pins campaigns whose trials resume from
 // golden-prefix checkpoints to full runs: identical outcomes on every
-// single-threaded program, under both engines that checkpoint and every
-// registered fault model, with one worker and with several sharing the
-// checkpoints (the -race run checks that sharing). fft-mt and the legacy
-// engine must take the full-run fallback and build nothing.
+// single-threaded program, under the compiled engine (the one that
+// checkpoints) and every registered fault model, with one worker and
+// with several sharing the checkpoints (the -race run checks that
+// sharing). fft-mt and the legacy engine must take the full-run fallback
+// and build nothing.
 func TestCheckpointDifferential(t *testing.T) {
 	benches, perModel := benchprog.Eleven(), 8
 	if testing.Short() {
 		benches, perModel = benches[:3], 3
 	}
 	for _, b := range benches {
-		for _, eng := range []interp.Engine{interp.EngineImage, interp.EngineCompiled} {
-			b, eng := b, eng
-			t.Run(b.Name+"/"+eng.String(), func(t *testing.T) {
-				t.Parallel()
-				m := b.MustModule()
-				bind := b.Bind(b.Reference)
-				cfg := b.ExecConfig()
-				cfg.Engine = eng
-				g, err := RunGolden(m, bind, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sites := ckptCampaignSites(m, g, perModel)
-				want := fullOutcomes(m, bind, cfg, g, sites)
-				o := obs.New("test")
-				for _, workers := range []int{1, 3} {
-					c := Campaign{Mod: m, Bind: bind, Cfg: cfg, Golden: g, Workers: workers,
-						Triage: TriageOff, Obs: o}
-					if got := c.RunSites(sites); !slices.Equal(got, want) {
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("workers=%d site %+v: checkpointed %v, full run %v", workers, sites[i], got[i], want[i])
-							}
+		b := b
+		t.Run(b.Name+"/compiled", func(t *testing.T) {
+			t.Parallel()
+			m := b.MustModule()
+			bind := b.Bind(b.Reference)
+			cfg := b.ExecConfig()
+			cfg.Engine = interp.EngineCompiled
+			g, err := RunGolden(m, bind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites := ckptCampaignSites(m, g, perModel)
+			want := fullOutcomes(m, bind, cfg, g, sites)
+			o := obs.New("test")
+			for _, workers := range []int{1, 3} {
+				c := Campaign{Mod: m, Bind: bind, Cfg: cfg, Golden: g, Workers: workers,
+					Triage: TriageOff, Obs: o}
+				if got := c.RunSites(sites); !slices.Equal(got, want) {
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("workers=%d site %+v: checkpointed %v, full run %v", workers, sites[i], got[i], want[i])
 						}
 					}
 				}
-				cs := o.Reg.Snapshot().Counters
-				if cs["fault.ckpt.builds"] != 1 || cs["fault.ckpt.restores"] == 0 {
-					t.Errorf("builds=%d restores=%d: trials did not resume from one shared set",
-						cs["fault.ckpt.builds"], cs["fault.ckpt.restores"])
-				}
-			})
-		}
+			}
+			cs := o.Reg.Snapshot().Counters
+			if cs["fault.ckpt.builds"] != 1 || cs["fault.ckpt.restores"] == 0 {
+				t.Errorf("builds=%d restores=%d: trials did not resume from one shared set",
+					cs["fault.ckpt.builds"], cs["fault.ckpt.restores"])
+			}
+		})
 	}
 
 	t.Run("fallbacks", func(t *testing.T) {

@@ -52,9 +52,7 @@ const ckptMaxChecks = 2
 // a module under one input and configuration. It is immutable once built
 // and safe for concurrent use by any number of Runners.
 type Checkpoints struct {
-	eng  Engine
-	img  *Image // identifies the module revision
-	comp *Compiled
+	comp *Compiled // identifies the module revision
 	cfg  Config
 
 	globalBase []int
@@ -103,7 +101,7 @@ func (r *Runner) Checkpoint(bind Binding, dyn int64) *Checkpoints {
 		return nil
 	}
 	eng := r.resolveEngine()
-	if eng == EngineLegacy || r.img.hasSpawn || valuelessReturns(r.mod) {
+	if eng == EngineLegacy || r.comp.img.hasSpawn || valuelessReturns(r.mod) {
 		return nil
 	}
 	prof := NewProfile(r.mod)
@@ -113,7 +111,7 @@ func (r *Runner) Checkpoint(bind Binding, dyn int64) *Checkpoints {
 		return nil
 	}
 	ck := &Checkpoints{
-		eng: eng, img: r.img, comp: r.comp, cfg: r.cfg,
+		comp: r.comp, cfg: r.cfg,
 		globalBase: slices.Clone(r.globalBase), globalLen: slices.Clone(r.globalLen),
 		globalsEnd: r.globalsEnd, memLen: len(r.mem), base: slices.Clone(trimZeros(r.mem)),
 	}
@@ -221,15 +219,16 @@ func (r *Runner) snapshot(t *thread, prof *Profile, base []uint64) snapshot {
 	}
 	nRegs := 0
 	for _, fr := range t.frames {
-		nRegs += fr.ifn.nRegs
+		nRegs += fr.cfn.ifn.nRegs
 	}
 	regs := make([]uint64, 0, nRegs)
 	for i := range s.frames {
 		fr := &s.frames[i]
 		// The constant pool above the registers is never written; restore
 		// reloads it from the function.
-		regs = append(regs, fr.regs[:fr.ifn.nRegs]...)
-		fr.regs = regs[len(regs)-fr.ifn.nRegs : len(regs) : len(regs)]
+		n := fr.cfn.ifn.nRegs
+		regs = append(regs, fr.regs[:n]...)
+		fr.regs = regs[len(regs)-n : len(regs) : len(regs)]
 		if fr.callID >= 0 {
 			s.seen[fr.callID]-- // issued, but its value is not returned yet
 		}
@@ -302,13 +301,13 @@ func (r *Runner) RunScratchFrom(ck *Checkpoints, bind Binding, fault *Fault) (Re
 }
 
 // fits reports whether trials of runner r under engine eng may resume
-// from ck: the same decoded program (hence module revision), and a
-// configuration that differs at most in a hang budget the golden run
-// fits in.
+// from ck: the compiled engine on the same compiled program (hence module
+// revision), and a configuration that differs at most in a hang budget
+// the golden run fits in.
 func (ck *Checkpoints) fits(r *Runner, eng Engine) bool {
 	cfg := r.cfg
 	cfg.MaxDynInstrs = ck.cfg.MaxDynInstrs
-	return ck.eng == eng && ck.img == r.img && ck.comp == r.comp && cfg == ck.cfg &&
+	return eng == EngineCompiled && ck.comp == r.comp && cfg == ck.cfg &&
 		r.cfg.MaxDynInstrs >= ck.golden.DynInstrs
 }
 
@@ -360,12 +359,8 @@ func (r *Runner) restore(ck *Checkpoints, s *snapshot, id int) {
 		regs := fr.regs
 		*fr = s.frames[i]
 		regs = append(regs[:0], s.frames[i].regs...)
-		if fr.cfn != nil {
-			fr.code, fr.cruns = fr.cfn.code, fr.cfn.runs
-			fr.regs = append(regs, fr.cfn.consts...)
-		} else {
-			fr.regs = append(regs, fr.ifn.consts...)
-		}
+		fr.code, fr.cruns = fr.cfn.code, fr.cfn.runs
+		fr.regs = append(regs, fr.cfn.consts...)
 	}
 }
 
@@ -401,7 +396,7 @@ func (r *Runner) sameState(ck *Checkpoints, s *snapshot, t *thread) bool {
 	}
 	for i := range t.frames {
 		a, b := &t.frames[i], &s.frames[i]
-		if a.ifn != b.ifn || a.cfn != b.cfn || a.fn != b.fn || a.pc != b.pc || a.block != b.block ||
+		if a.cfn != b.cfn || a.fn != b.fn || a.pc != b.pc || a.block != b.block ||
 			a.prevBlock != b.prevBlock || a.spSave != b.spSave || a.retDst != b.retDst ||
 			a.callInstr != b.callInstr || a.callID != b.callID || a.callTBits != b.callTBits ||
 			a.phiSrc != b.phiSrc || !slices.Equal(a.regs[:len(b.regs)], b.regs) {

@@ -118,8 +118,9 @@ func faultyCfg(cfg interp.Config, g *fault.Golden) interp.Config {
 
 // TestCheckpointDifferential pins trials resumed from golden-prefix
 // checkpoints, and trials ended early on re-convergence, to full runs:
-// identical Results on every single-threaded program under both engines
-// that checkpoint, on unprotected and SID-protected modules.
+// identical Results on every single-threaded program under the compiled
+// engine (the one that checkpoints), on unprotected and SID-protected
+// modules.
 func TestCheckpointDifferential(t *testing.T) {
 	nRandom, stride := 6, 1
 	if testing.Short() {
@@ -128,38 +129,36 @@ func TestCheckpointDifferential(t *testing.T) {
 	var tally ckptTally
 	t.Run("programs", func(t *testing.T) {
 		for _, b := range benchprog.Eleven() {
-			for _, eng := range []interp.Engine{interp.EngineImage, interp.EngineCompiled} {
-				for _, protected := range []bool{false, true} {
-					b, eng, protected := b, eng, protected
-					name := b.Name + "/" + eng.String()
-					if protected {
-						name += "/dup"
-					}
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						m := b.MustModule()
-						if protected {
-							m = duplicateNonPhis(m)
-						}
-						bind := b.Bind(b.Reference)
-						cfg := b.ExecConfig()
-						cfg.Engine = eng
-						g, err := fault.RunGolden(m, bind, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fcfg := faultyCfg(cfg, g)
-						ck := interp.NewRunner(m, fcfg).Checkpoint(bind, g.DynInstrs)
-						if ck == nil {
-							t.Fatalf("no checkpoints for a %d-instruction golden run", g.DynInstrs)
-						}
-						if gr := ck.Golden(); gr.DynInstrs != g.DynInstrs || gr.Cycles != g.Cycles ||
-							!slices.Equal(gr.Output, g.Output) {
-							t.Fatalf("snapshot run %+v differs from the golden run", gr)
-						}
-						checkCheckpointed(t, m, bind, fcfg, ck, ckptSites(t, m, g, ck, nRandom, stride), &tally)
-					})
+			for _, protected := range []bool{false, true} {
+				b, protected := b, protected
+				name := b.Name + "/compiled"
+				if protected {
+					name += "/dup"
 				}
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					m := b.MustModule()
+					if protected {
+						m = duplicateNonPhis(m)
+					}
+					bind := b.Bind(b.Reference)
+					cfg := b.ExecConfig()
+					cfg.Engine = interp.EngineCompiled
+					g, err := fault.RunGolden(m, bind, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fcfg := faultyCfg(cfg, g)
+					ck := interp.NewRunner(m, fcfg).Checkpoint(bind, g.DynInstrs)
+					if ck == nil {
+						t.Fatalf("no checkpoints for a %d-instruction golden run", g.DynInstrs)
+					}
+					if gr := ck.Golden(); gr.DynInstrs != g.DynInstrs || gr.Cycles != g.Cycles ||
+						!slices.Equal(gr.Output, g.Output) {
+						t.Fatalf("snapshot run %+v differs from the golden run", gr)
+					}
+					checkCheckpointed(t, m, bind, fcfg, ck, ckptSites(t, m, g, ck, nRandom, stride), &tally)
+				})
 			}
 		}
 	})
@@ -249,13 +248,8 @@ func TestCheckpointFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtCfg := faultyCfg(mt.ExecConfig(), mtg)
-	for _, eng := range []interp.Engine{interp.EngineImage, interp.EngineCompiled} {
-		c := mtCfg
-		c.Engine = eng
-		if interp.NewRunner(mtm, c).Checkpoint(mtBind, mtg.DynInstrs) != nil {
-			t.Errorf("fft-mt (%v) built checkpoints", eng)
-		}
+	if interp.NewRunner(mtm, faultyCfg(mt.ExecConfig(), mtg)).Checkpoint(mtBind, mtg.DynInstrs) != nil {
+		t.Error("fft-mt built checkpoints")
 	}
 
 	if vm := valuelessReturnModule(); interp.NewRunner(vm, interp.Config{}).Checkpoint(interp.Binding{},

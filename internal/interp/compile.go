@@ -1,18 +1,16 @@
 package interp
 
 import (
-	"sync"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
 
-// This file implements the compile step of the third execution tier: it
+// This file implements the compile step of the production engine: it
 // rewrites a decoded Image into superinstruction streams executed by the
 // direct-threaded dispatch loop in dispatch.go.
 //
-// Three rewrites are performed, all pinned bit-identical to the image and
-// legacy engines by the three-way differential suite (diff_test.go):
+// Three rewrites are performed, all pinned bit-identical to the legacy
+// stepper by the differential suite (diff_test.go):
 //
 //   - run fusion: maximal straight-line sequences of value ops (runOp)
 //     collapse into one xRun word whose constituents live in a side
@@ -35,12 +33,6 @@ import (
 // accounting, profile counters, hang-budget boundaries, trap points, and
 // fault-site numbering are preserved exactly in all streams.
 
-// CompilerVersion names the compile-step revision. It participates in the
-// compiled-artifact cache key exactly like the pipeline store's task-kind
-// versions, so a changed compiler never serves stale artifacts keyed by
-// an unchanged module.
-const CompilerVersion = "superinstr/v1"
-
 // cfunc is one compiled function: two code streams of identical length
 // and offsets (so edge programs retarget once), plus the run side tables
 // and the (possibly extended) constant pool shared by both.
@@ -55,8 +47,8 @@ type cfunc struct {
 	entry    []int32 // per-block edge-entry offsets into code/spec
 }
 
-// Compiled is a fully compiled module: the source image plus compiled
-// functions and retargeted edge programs.
+// Compiled is a fully compiled module: the source image it owns plus
+// compiled functions and retargeted edge programs.
 type Compiled struct {
 	img       *Image
 	funcs     []*cfunc
@@ -64,12 +56,9 @@ type Compiled struct {
 	stats     FuseStats
 }
 
-// Image returns the source image the module was compiled from.
-func (c *Compiled) Image() *Image { return c.img }
-
 // Compile rewrites img into superinstruction form. A legacy-only image
-// compiles to an empty artifact; the Runner falls back to the reference
-// stepper exactly as the image engine does.
+// compiles to an empty artifact; the Runner then falls back to the
+// reference stepper.
 func Compile(img *Image) *Compiled {
 	c := &Compiled{img: img}
 	if img.legacyOnly {
@@ -382,41 +371,15 @@ func countOps(ws []iword, op xop) int {
 	return n
 }
 
-// compiledCacheCap bounds the compiled-artifact cache, mirroring the
-// decoded-image cache.
-const compiledCacheCap = 128
+// artifacts is the process-wide artifact cache: every Runner of a module
+// snapshot (campaign workers, golden runs, harness phases) shares one
+// Compiled, which owns its Image. ir.Memo keys it by module pointer and
+// Finalize version, so a re-finalized module is recompiled rather than
+// served stale code; it keeps the 32 most recently used snapshots and
+// compiles outside its map lock.
+var artifacts ir.Memo[*Compiled]
 
-type compiledCacheKey struct {
-	mod      *ir.Module
-	version  uint64
-	compiler string
-}
-
-var compCache = struct {
-	sync.Mutex
-	m     map[compiledCacheKey]*Compiled
-	order []compiledCacheKey // FIFO eviction order
-}{m: make(map[compiledCacheKey]*Compiled)}
-
-// compiledOf returns the (process-wide, cached) compiled artifact of m.
-// The key is the module's content identity (pointer + finalize version,
-// as for images) plus CompilerVersion — the same shape as the pipeline
-// store's keys (content hash + task version), so a compiler revision
-// invalidates artifacts without invalidating images.
+// compiledOf returns the shared compiled artifact of m's current snapshot.
 func compiledOf(m *ir.Module) *Compiled {
-	key := compiledCacheKey{mod: m, version: m.Version(), compiler: CompilerVersion}
-	compCache.Lock()
-	defer compCache.Unlock()
-	if c, ok := compCache.m[key]; ok {
-		return c
-	}
-	c := Compile(imageOf(m))
-	compCache.m[key] = c
-	compCache.order = append(compCache.order, key)
-	if len(compCache.order) > compiledCacheCap {
-		old := compCache.order[0]
-		compCache.order = compCache.order[1:]
-		delete(compCache.m, old)
-	}
-	return c
+	return artifacts.Get(m, func(m *ir.Module) *Compiled { return Compile(Lower(m)) })
 }

@@ -11,11 +11,10 @@ import (
 	"repro/internal/sid"
 )
 
-// The differential suite pins the pre-decoded image engine AND the
-// compiled superinstruction engine to the legacy reference stepper: for
-// every benchmark program (and fault-injected and SID-protected variants)
-// all three engines must produce bit-identical results and dynamic
-// profiles. Any divergence in instruction accounting, phi semantics, trap
+// The differential suite pins the compiled superinstruction engine to the
+// legacy reference stepper: for every benchmark program (and
+// fault-injected and SID-protected variants) both engines must produce
+// bit-identical results and dynamic profiles. Any divergence in instruction accounting, phi semantics, trap
 // ordering, flip placement, fusion accounting, or known-bits
 // specialization shows up here.
 
@@ -47,10 +46,10 @@ func eqInt64s(a, b []int64) bool {
 
 // diffEngines lists the oracle engine (legacy, first) and every engine
 // pinned against it.
-var diffEngines = []interp.Engine{interp.EngineLegacy, interp.EngineImage, interp.EngineCompiled}
+var diffEngines = []interp.Engine{interp.EngineLegacy, interp.EngineCompiled}
 
-// diffRun executes (m, bind, f) under all three engines and fails the
-// test on any observable difference. It returns the legacy result.
+// diffRun executes (m, bind, f) under every engine and fails the test on
+// any observable difference. It returns the legacy result.
 func diffRun(t *testing.T, name string, m *ir.Module, bind interp.Binding,
 	cfg interp.Config, f *interp.Fault) interp.Result {
 	t.Helper()
@@ -108,7 +107,7 @@ func TestEngineDifferentialBenchprogs(t *testing.T) {
 			t.Parallel()
 			m := b.MustModule()
 			if interp.Lower(m).LegacyOnly() {
-				t.Fatalf("%s decodes legacy-only; image engine not exercised", b.Name)
+				t.Fatalf("%s decodes legacy-only; compiled engine not exercised", b.Name)
 			}
 			res := diffRun(t, b.Name, m, b.Bind(b.Reference), b.ExecConfig(), nil)
 			if res.Status != interp.StatusOK {
@@ -151,9 +150,10 @@ func TestEngineDifferentialFaults(t *testing.T) {
 	}
 }
 
-// Full duplication inserts the icmp-eq + detect pairs that the image engine
-// fuses into a single opcode (in spawn-free modules); this pins the fused
-// path, including detection halts under injected faults, to the reference.
+// Full duplication inserts the icmp-eq + detect pairs that the image
+// lowering fuses into a single opcode (in spawn-free modules); this pins
+// the fused path, including detection halts under injected faults, to the
+// reference.
 func TestEngineDifferentialProtected(t *testing.T) {
 	nSites := 6
 	if testing.Short() {
@@ -204,7 +204,7 @@ func TestCompiledFusionCoverage(t *testing.T) {
 		t.Fatal("benchmark lookup failed")
 	}
 	m := b.MustModule()
-	_, prof := runEngine(t, m, b.Bind(b.Reference), b.ExecConfig(), nil, interp.EngineImage)
+	_, prof := runEngine(t, m, b.Bind(b.Reference), b.ExecConfig(), nil, interp.EngineCompiled)
 
 	img := interp.Lower(m)
 	seqs := interp.MineSequences(img, prof, 8)
@@ -230,7 +230,7 @@ func TestCompiledFusionCoverage(t *testing.T) {
 }
 
 // A whole campaign table (benign/SDC/crash/hang/detected counts at a fixed
-// seed) must be identical under all three engines.
+// seed) must be identical under both engines.
 func TestEngineDifferentialCampaign(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -242,7 +242,7 @@ func TestEngineDifferentialCampaign(t *testing.T) {
 	}
 	m := b.MustModule()
 	bind := b.Bind(b.Reference)
-	var tables [3]fault.CampaignResult
+	tables := make([]fault.CampaignResult, len(diffEngines))
 	for i, eng := range diffEngines {
 		cfg := b.ExecConfig()
 		cfg.Engine = eng

@@ -34,7 +34,7 @@ type chandler func(r *Runner, t *thread, fr *frame, in *iword) bool
 var cHandlers [256]chandler
 
 // quantumCompiled executes up to q dispatch steps on t. Fused words count
-// as one dispatch step (like the image engine's xCmpEqDetect); fusion is
+// as one dispatch step (like the image's fused xCmpEqDetect); fusion is
 // disabled for spawning modules, where step granularity is observable.
 func (r *Runner) quantumCompiled(t *thread, q int) {
 	if t.done || t.joining || r.halted {
@@ -64,7 +64,6 @@ func (r *Runner) pushCFrame(t *thread, cfn *cfunc, args []uint64, retDst int, ca
 		code, cruns = cfn.spec, cfn.runsSpec
 	}
 	*fr = frame{
-		ifn:       cfn.ifn,
 		cfn:       cfn,
 		code:      code,
 		cruns:     cruns,
@@ -76,6 +75,39 @@ func (r *Runner) pushCFrame(t *thread, cfn *cfunc, args []uint64, retDst int, ca
 		phiSrc:    cfn.ifn.entryPhiSrc,
 	}
 	t.callDepth++
+}
+
+// flipSlot applies the armed fault to regs[dst] if this dynamic execution
+// of the target instruction is the injection point, and advances the
+// dynamic-occurrence counter either way (mirroring Runner.flip).
+func (r *Runner) flipSlot(regs []uint64, dst int32, tbits uint8) {
+	if r.faultSeen == r.fault.DynIndex {
+		mask := r.fault.Mask
+		if tbits == 1 {
+			mask &= 1
+		}
+		switch {
+		case r.fault.Op == FaultStuckAt0:
+			regs[dst] &^= mask
+		case r.fault.Op == FaultStuckAt1:
+			regs[dst] |= mask
+		case r.fault.Mask != 0:
+			regs[dst] ^= mask
+		default:
+			bit := r.fault.Bit % uint(tbits)
+			regs[dst] ^= 1 << bit
+		}
+	}
+	r.faultSeen++
+}
+
+// callIDOf returns the static ID a frame must remember for return-value
+// fault injection: the call's ID when it produces a result, else -1.
+func callIDOf(in *iword) int32 {
+	if in.c != 0 {
+		return in.id
+	}
+	return -1
 }
 
 // acct performs one instruction's dynamic accounting and hang check,
@@ -124,9 +156,10 @@ func (r *Runner) wr(fr *frame, in *iword, res uint64) {
 	fr.pc++
 }
 
-// takeEdgeC transfers control along edge e in the compiled engine,
-// mirroring takeEdgeFault with profile and fault both guarded. Returns
-// the continue bit for the dispatch loop.
+// takeEdgeC transfers control along edge e in the order of the reference
+// stepper: validity, then the entered block and edge counters, then the
+// phi transfer (a missing-predecessor trap included). Profile and fault
+// are both guarded. Returns the continue bit for the dispatch loop.
 func (r *Runner) takeEdgeC(fr *frame, e int32) bool {
 	if e < 0 {
 		r.haltTrap("branch to invalid block")

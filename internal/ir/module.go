@@ -73,7 +73,7 @@ type Module struct {
 	numBlocks int
 
 	// version counts Finalize calls. Consumers that pre-decode the module
-	// (the interpreter's program-image cache) key on (pointer, version) so
+	// (the interpreter's compiled-artifact cache) key on (pointer, version) so
 	// a re-finalized module is never served a stale decode.
 	version uint64
 }

@@ -107,7 +107,7 @@ func TestServerMatchesDirectAcrossEngines(t *testing.T) {
 	want := directResult(t, spec)
 	old := interp.DefaultEngine
 	defer func() { interp.DefaultEngine = old }()
-	for _, name := range []string{"legacy", "image", "compiled"} {
+	for _, name := range []string{"legacy", "compiled"} {
 		eng, err := interp.ParseEngine(name)
 		if err != nil {
 			t.Fatalf("ParseEngine(%s): %v", name, err)
