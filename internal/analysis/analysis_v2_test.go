@@ -354,6 +354,85 @@ func TestProvablyDetectedRequiresAlwaysFlips(t *testing.T) {
 	}
 }
 
+// phiGroupDetectKernel builds the layout sid.Duplicate gives a loop
+// header whose k phis are all protected: every phi is followed inside
+// the leading group by its dup phi, and the k compare/detect pairs
+// follow the group. The phis rotate their values over the back edge
+// (each reads the next one's register), so later phis of the group name
+// earlier ones. With readEarly, an emit of the last phi sits between the
+// group and the checks.
+func phiGroupDetectKernel(t *testing.T, k int, readEarly bool) (*ir.Module, []int) {
+	t.Helper()
+	m := ir.NewModule("phigroup")
+	f := m.AddFunction("main", []ir.Type{ir.I64}, ir.Void)
+	b := ir.NewBuilder(m, f)
+	entry := b.Block()
+	head, exit := b.NewBlock("head"), b.NewBlock("exit")
+	b.Br(head)
+	b.SetBlock(head)
+
+	regs := make([]int, k)
+	for i := range regs {
+		regs[i] = b.NewReg()
+	}
+	phi := func(dst, i int) *ir.Instr {
+		return &ir.Instr{Op: ir.OpPhi, Type: ir.I64, Dst: dst,
+			Args:  []ir.Operand{ir.ConstI(int64(i)), ir.Reg(regs[(i+1)%k], ir.I64)},
+			Succs: []int{entry.Index, head.Index}}
+	}
+	dups := make([]int, k)
+	for i := range regs {
+		dups[i] = b.NewReg()
+		head.Instrs = append(head.Instrs, phi(regs[i], i), phi(dups[i], i))
+		head.Instrs[len(head.Instrs)-1].Dup = true
+	}
+	if readEarly {
+		b.CallB(ir.BuiltinEmitI, ir.Reg(regs[k-1], ir.I64))
+	}
+	for i := range regs {
+		b.Detect(b.ICmp(ir.PredEQ, ir.Reg(regs[i], ir.I64), ir.Reg(dups[i], ir.I64)))
+	}
+	b.CondBr(b.ICmp(ir.PredLT, ir.Reg(regs[0], ir.I64), ir.Reg(0, ir.I64)), head, exit)
+	b.SetBlock(exit)
+	b.RetVoid()
+
+	m.Finalize()
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, in := range head.Instrs {
+		if in.Op == ir.OpPhi && !in.Dup {
+			ids = append(ids, in.ID)
+		}
+	}
+	return m, ids
+}
+
+// The duplication proof must hold for every phi of a protected phi
+// group, however long the group: the rest of the group reads on block
+// entry, so it neither reads the faulted value nor counts against the
+// scan window. A non-phi reader before the check still defeats it.
+func TestProvablyDetectedPhiGroup(t *testing.T) {
+	const k = 7 // the last phi's check sits 2(k-1) past the group, beyond detectScanWindow
+	m, ids := phiGroupDetectKernel(t, k, false)
+	tri := TriageFor(m)
+	for i, id := range ids {
+		if v, _ := tri.ClassifyFor(DefaultFaultClass, id, 3, 0); v != VerdictProvablyDetected {
+			t.Errorf("phi %d of %d: verdict %v, want detected", i, k, v)
+		}
+	}
+
+	m, ids = phiGroupDetectKernel(t, k, true)
+	tri = TriageFor(m)
+	if v, _ := tri.ClassifyFor(DefaultFaultClass, ids[k-1], 3, 0); v == VerdictProvablyDetected {
+		t.Error("phi read before its check proven detected")
+	}
+	if v, _ := tri.ClassifyFor(DefaultFaultClass, ids[0], 3, 0); v != VerdictProvablyDetected {
+		t.Errorf("phi 0 beside an early reader of another phi: verdict %v, want detected", v)
+	}
+}
+
 func TestFactsSingleBuildPerSnapshot(t *testing.T) {
 	m, _ := rangeKernel(t)
 	before := factsBuilds.Load()

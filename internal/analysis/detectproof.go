@@ -41,7 +41,10 @@ import "repro/internal/ir"
 // detectScanWindow bounds how far past a definition the detectAll scan
 // looks for the comparison. The duplication transform places its
 // triple immediately after the protected instruction, so a small
-// window is sufficient and keeps the scan linear.
+// window is sufficient and keeps the scan linear. For a phi of a
+// block's leading group, the transform places the compare after the
+// group, behind the compare/detect pairs of the earlier phis, so the
+// scan starts after the group and the window grows by two per phi.
 const detectScanWindow = 8
 
 // detectFacts records, per instruction ID, the detection proofs.
@@ -58,6 +61,7 @@ func buildDetectFacts(m *ir.Module) detectFacts {
 	}
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
+			lead := b.LeadingPhis()
 			for i, in := range b.Instrs {
 				if !in.HasResult() {
 					continue
@@ -68,7 +72,7 @@ func buildDetectFacts(m *ir.Module) detectFacts {
 						d.next[in.ID] = true
 					}
 				}
-				d.all[in.ID] = scanDetectAll(b.Instrs, i, in.Dst)
+				d.all[in.ID] = scanDetectAll(b.Instrs, i, in.Dst, lead)
 			}
 		}
 	}
@@ -78,13 +82,27 @@ func buildDetectFacts(m *ir.Module) detectFacts {
 // scanDetectAll checks shape 1 for the definition of register v at
 // instrs[i]: within the window, the first reader of v must be an
 // eq-comparison against a clean operand whose result feeds an
-// immediately following detect.
-func scanDetectAll(instrs []*ir.Instr, i, v int) bool {
-	end := i + 1 + detectScanWindow
+// immediately following detect. lead is the length of the block's
+// leading phi group.
+func scanDetectAll(instrs []*ir.Instr, i, v, lead int) bool {
+	start, window := i+1, detectScanWindow
+	if i < lead {
+		// The rest of the group reads its incoming values on block
+		// entry, in parallel, before v is written: none of it reads
+		// this definition of v. A phi naming v reads it on a later
+		// entry, after control has passed this block's checks.
+		for ; start < lead; start++ {
+			if instrs[start].Dst == v {
+				return false // v redefined (non-SSA safety)
+			}
+		}
+		window += 2 * lead
+	}
+	end := start + window
 	if end > len(instrs) {
 		end = len(instrs)
 	}
-	for j := i + 1; j < end; j++ {
+	for j := start; j < end; j++ {
 		u := instrs[j]
 		if u.HasResult() && u.Dst == v {
 			return false // v redefined before any check (non-SSA safety)

@@ -91,7 +91,8 @@ func (ck *Checkpoints) Golden() Result { return ck.golden }
 // maxCheckpoints snapshots spaced evenly over dyn, the run's dynamic
 // length as measured by an earlier golden run. It returns nil when trials
 // of this run cannot resume from snapshots: under the legacy engine
-// (which legacy-only modules and traced runs also use), for modules that
+// (which traced runs and legacy-only modules, i.e. unverified IR, also
+// use; SID-protected modules compile and checkpoint), for modules that
 // spawn threads, for modules whose value-returning calls can return
 // without a value, when dyn is too short to space one snapshot, and when
 // the run does not complete in exactly dyn instructions.

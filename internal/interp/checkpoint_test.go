@@ -20,12 +20,16 @@ type ckptTally struct {
 	status    [4]int
 	restored  int
 	converged int
+	dupPhis   int // resumed trials at a duplicated phi
 }
 
-func (c *ckptTally) add(res interp.Result, rs interp.Resume) {
+func (c *ckptTally) add(m *ir.Module, f interp.Fault, res interp.Result, rs interp.Resume) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.status[res.Status]++
+	if in := m.Instrs[f.InstrID]; rs.Restored && in.Op == ir.OpPhi && m.Instrs[in.ID+1].Dup {
+		c.dupPhis++ // duplication puts the dup phi right after its phi
+	}
 	if rs.Restored {
 		c.restored++
 	}
@@ -88,26 +92,8 @@ func checkCheckpointed(t *testing.T, m *ir.Module, bind interp.Binding, cfg inte
 				f, rs, got.Status, got.Trap, got.DynInstrs, got.Cycles, got.Output,
 				want.Status, want.Trap, want.DynInstrs, want.Cycles, want.Output)
 		}
-		tally.add(got, rs)
+		tally.add(m, f, got, rs)
 	}
-}
-
-// duplicateNonPhis protects every duplicable instruction except phis.
-// Full duplication interleaves checks between the phis of a block, which
-// the image decoder does not lower, so such modules run on the legacy
-// engine and never checkpoint.
-func duplicateNonPhis(m *ir.Module) *ir.Module {
-	var chosen []int
-	for _, in := range m.Instrs {
-		if in.Op != ir.OpPhi && sid.Duplicable(in) {
-			chosen = append(chosen, in.ID)
-		}
-	}
-	p := sid.Duplicate(m, chosen)
-	if interp.Lower(p).LegacyOnly() {
-		panic("protected module decodes legacy-only")
-	}
-	return p
 }
 
 // faultyCfg is the campaign hang budget for trials against g.
@@ -119,8 +105,8 @@ func faultyCfg(cfg interp.Config, g *fault.Golden) interp.Config {
 // TestCheckpointDifferential pins trials resumed from golden-prefix
 // checkpoints, and trials ended early on re-convergence, to full runs:
 // identical Results on every single-threaded program under the compiled
-// engine (the one that checkpoints), on unprotected and SID-protected
-// modules.
+// engine (the one that checkpoints), on unprotected and fully
+// duplicated modules, including faults at duplicated phis.
 func TestCheckpointDifferential(t *testing.T) {
 	nRandom, stride := 6, 1
 	if testing.Short() {
@@ -139,7 +125,10 @@ func TestCheckpointDifferential(t *testing.T) {
 					t.Parallel()
 					m := b.MustModule()
 					if protected {
-						m = duplicateNonPhis(m)
+						m = sid.FullDuplication(m)
+						if interp.Lower(m).LegacyOnly() {
+							t.Fatal("fully duplicated module decodes legacy-only")
+						}
 					}
 					bind := b.Bind(b.Reference)
 					cfg := b.ExecConfig()
@@ -162,8 +151,8 @@ func TestCheckpointDifferential(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("statuses ok/crash/hang/detected = %v, restored %d, converged %d",
-		tally.status, tally.restored, tally.converged)
+	t.Logf("statuses ok/crash/hang/detected = %v, restored %d, converged %d, duplicated phis %d",
+		tally.status, tally.restored, tally.converged, tally.dupPhis)
 	for s, n := range tally.status {
 		if n == 0 {
 			t.Errorf("no %v trial exercised", interp.Status(s))
@@ -171,6 +160,9 @@ func TestCheckpointDifferential(t *testing.T) {
 	}
 	if tally.restored == 0 || tally.converged == 0 {
 		t.Errorf("restored %d, converged %d: checkpoint paths not exercised", tally.restored, tally.converged)
+	}
+	if tally.dupPhis == 0 {
+		t.Error("no trial at a duplicated phi resumed from a checkpoint")
 	}
 }
 

@@ -375,8 +375,8 @@ func countOps(ws []iword, op xop) int {
 // snapshot (campaign workers, golden runs, harness phases) shares one
 // Compiled, which owns its Image. ir.Memo keys it by module pointer and
 // Finalize version, so a re-finalized module is recompiled rather than
-// served stale code; it keeps the 32 most recently used snapshots and
-// compiles outside its map lock.
+// served stale code; it keeps the most recently used snapshots, up to
+// ir.Memo's cap, and compiles outside its map lock.
 var artifacts ir.Memo[*Compiled]
 
 // compiledOf returns the shared compiled artifact of m's current snapshot.

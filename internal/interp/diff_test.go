@@ -151,9 +151,10 @@ func TestEngineDifferentialFaults(t *testing.T) {
 }
 
 // Full duplication inserts the icmp-eq + detect pairs that the image
-// lowering fuses into a single opcode (in spawn-free modules); this pins
-// the fused path, including detection halts under injected faults, to the
-// reference.
+// lowering fuses into a single opcode (in spawn-free modules), and
+// duplicated phis that join their block's phi group; this pins the
+// compiled engine on such modules, including detection halts under
+// injected faults, to the reference.
 func TestEngineDifferentialProtected(t *testing.T) {
 	nSites := 6
 	if testing.Short() {
@@ -164,6 +165,9 @@ func TestEngineDifferentialProtected(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			prot := sid.FullDuplication(b.MustModule())
+			if interp.Lower(prot).LegacyOnly() {
+				t.Fatal("fully duplicated module decodes legacy-only; compiled engine not exercised")
+			}
 			bind := b.Bind(b.Reference)
 			res := diffRun(t, b.Name+"/dup", prot, bind, b.ExecConfig(), nil)
 			if res.Status != interp.StatusOK {

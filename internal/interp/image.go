@@ -201,7 +201,9 @@ type Image struct {
 	// legacyOnly marks a module the decoder cannot faithfully lower
 	// (malformed operands, mid-block phis, value ops without a result
 	// register). The Runner silently falls back to the reference stepper,
-	// which defines the semantics of such modules.
+	// which defines the semantics of such modules. ir.Verify rejects
+	// mid-block phis, and SID protection keeps every phi group leading,
+	// so only unverified IR takes the mid-block fallback.
 	legacyOnly bool
 }
 

@@ -8,8 +8,12 @@ import (
 // memoCap bounds the module snapshots one Memo remembers. Long-running
 // callers (the incremental pipeline, the campaign server) derive new
 // modules for as long as they run; an unbounded memo would keep every
-// one of them, with its derived facts, alive forever.
-const memoCap = 32
+// one of them, with its derived facts, alive forever. Every slot beyond
+// the working set pins a dead module and its derived values (a compiled
+// artifact, analysis facts, a triage), so the cap sits just above the
+// largest working set that reuses modules: ten programs and their ten
+// edited copies in an incremental edit round.
+const memoCap = 24
 
 // Memo memoizes a value derived from a finalized module snapshot: a
 // (module pointer, Finalize version) pair, so a re-finalized module is

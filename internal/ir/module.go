@@ -26,6 +26,18 @@ func (b *Block) Terminator() *Instr {
 	return t
 }
 
+// LeadingPhis returns the length of the block's leading phi group. The
+// group executes as one parallel assignment on block entry: every phi
+// reads its incoming value before any of them is written. Verify rejects
+// a phi outside this group.
+func (b *Block) LeadingPhis() int {
+	n := 0
+	for n < len(b.Instrs) && b.Instrs[n].Op == OpPhi {
+		n++
+	}
+	return n
+}
+
 // Function is an IR function. Parameters arrive in registers 0..len(Params)-1.
 type Function struct {
 	Index   int

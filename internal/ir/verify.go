@@ -5,7 +5,8 @@ import "fmt"
 // Verify checks structural well-formedness of the module: every block ends
 // in exactly one terminator, operand registers are within the function's
 // register file, branch targets and callee/global/builtin indices are
-// valid, operand counts match opcodes, and result types are sane.
+// valid, operand counts match opcodes, result types are sane, and every
+// phi belongs to its block's leading phi group (Block.LeadingPhis).
 //
 // It returns the first problem found, or nil. Verify requires Finalize to
 // have been called (it relies on instruction IDs for error messages).
@@ -173,6 +174,9 @@ func verifyInstr(m *Module, f *Function, b *Block, pos int, in *Instr) error {
 			return fail("non-void function must return exactly one value")
 		}
 	case OpPhi:
+		if lead := b.LeadingPhis(); pos >= lead {
+			return fail("outside the block's leading phi group (%d phis)", lead)
+		}
 		if len(in.Args) == 0 || len(in.Args) != len(in.Succs) {
 			return fail("phi incoming values (%d) and blocks (%d) mismatch", len(in.Args), len(in.Succs))
 		}

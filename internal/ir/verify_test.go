@@ -258,6 +258,18 @@ func TestVerifyErrorPaths(t *testing.T) {
 			return m
 		}, "operands"},
 
+		{"phi-mid-block", func() *Module {
+			return vmod(func(m *Module, b *Builder) {
+				entry := b.Block()
+				next := b.NewBlock("next")
+				b.Br(next)
+				b.SetBlock(next)
+				b.Phi(I64, []Operand{ConstI(1)}, []*Block{entry})
+				b.Bin(OpAdd, ConstI(1), ConstI(2))
+				b.Phi(I64, []Operand{ConstI(2)}, []*Block{entry})
+			})
+		}, "bb1 pos 2 [3] phi: outside the block's leading phi group (1 phis)"},
+
 		{"unknown-opcode", func() *Module {
 			m := vmod(func(m *Module, b *Builder) {
 				b.CallB(BuiltinEmitI, ConstI(1))

@@ -35,8 +35,9 @@ type Detector interface {
 	// every value-local model; weaker detectors consult m's patterns.
 	Coverage(fx *ModuleFacts, id int, m fault.Model) float64
 	// lower emits the protection code for in (already appended to out)
-	// and returns the instructions to append after it. Successor-block
-	// insertions go through st.
+	// and returns the instructions to append after it; for a phi site,
+	// LowerSelection keeps the returned phis in the leading group and
+	// moves the rest after it. Successor-block insertions go through st.
 	lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir.Instr) []*ir.Instr
 }
 
@@ -198,8 +199,6 @@ func (dupDetector) Coverage(fx *ModuleFacts, id int, m fault.Model) float64 {
 }
 
 func (dupDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir.Instr) []*ir.Instr {
-	// Byte-compatible with Duplicate: same instructions, registers,
-	// flags, and comments in the same order.
 	dup := in.Clone()
 	dup.Dst = f.NumRegs
 	f.NumRegs++
@@ -207,7 +206,7 @@ func (dupDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir
 	dup.Comment = "dup"
 
 	cmp := &ir.Instr{
-		Op:   ir.OpICmp,
+		Op:   ir.OpICmp, // bitwise equality on the raw words
 		Pred: ir.PredEQ,
 		Type: ir.I1,
 		Dst:  f.NumRegs,

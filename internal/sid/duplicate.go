@@ -7,7 +7,7 @@ import (
 )
 
 // Duplicate returns a protected clone of m in which every selected
-// instruction D is followed by a fresh copy D_dup computing the same value
+// instruction D is guarded by a fresh copy D_dup computing the same value
 // into a new register, a bitwise comparison of the two results, and a
 // detector that halts with a Detected outcome on mismatch (paper Fig. 1c).
 //
@@ -17,63 +17,24 @@ import (
 // next synchronization point. The inserted instructions are marked Dup so
 // analyses can distinguish protection code from program code.
 //
-// The returned module is finalized; instruction IDs of original
-// instructions change (insertions shift the numbering), so callers must
-// not mix pre- and post-transform IDs. ProtectedMap reports the mapping.
+// Non-phi sites get the triple right after D. A block's phis must stay
+// one leading group, since they assign in parallel on block entry: the
+// dup phi of a chosen phi follows it inside the group, and its compare
+// and detect follow the group, in phi order, before any non-phi
+// instruction can read the phi.
+//
+// Duplicate is LowerSelection with duplication at every chosen site. The
+// returned module is finalized; instruction IDs of original instructions
+// change (insertions shift the numbering), so callers must not mix pre-
+// and post-transform IDs. ProtectedMap reports the mapping.
 func Duplicate(m *ir.Module, chosen []int) *ir.Module {
-	chosenSet := make(map[int]bool, len(chosen))
-	for _, id := range chosen {
-		chosenSet[id] = true
-	}
-	cp := m.Clone() // clone preserves IDs (same instruction order)
-	for _, f := range cp.Funcs {
-		for _, b := range f.Blocks {
-			out := make([]*ir.Instr, 0, len(b.Instrs))
-			for _, in := range b.Instrs {
-				out = append(out, in)
-				if !chosenSet[in.ID] || !Duplicable(in) {
-					continue
-				}
-				dup := in.Clone()
-				dup.Dst = f.NumRegs
-				f.NumRegs++
-				dup.Dup = true
-				dup.Comment = "dup"
-
-				cmp := &ir.Instr{
-					Op:   ir.OpICmp, // bitwise equality on the raw words
-					Pred: ir.PredEQ,
-					Type: ir.I1,
-					Dst:  f.NumRegs,
-					Args: []ir.Operand{
-						ir.Reg(in.Dst, in.Type),
-						ir.Reg(dup.Dst, in.Type),
-					},
-					Dup:     true,
-					Comment: "dup-check",
-				}
-				f.NumRegs++
-
-				det := &ir.Instr{
-					Op:      ir.OpDetect,
-					Type:    ir.Void,
-					Dst:     -1,
-					Args:    []ir.Operand{ir.Reg(cmp.Dst, ir.I1)},
-					Dup:     true,
-					Comment: "dup-detect",
-				}
-				out = append(out, dup, cmp, det)
-			}
-			b.Instrs = out
-		}
-	}
-	cp.Finalize()
-	return cp
+	return LowerSelection(m, Selection{Chosen: chosen})
 }
 
 // ProtectedMap maps each original-module instruction ID to its ID in the
-// protected module produced by Duplicate with the same chosen set. The
-// transform only inserts instructions, so the mapping is order-preserving.
+// protected module produced by Duplicate with the same chosen set,
+// without building that module. The transform only inserts
+// instructions, so the mapping is order-preserving.
 func ProtectedMap(orig *ir.Module, chosen []int) map[int]int {
 	chosenSet := make(map[int]bool, len(chosen))
 	for _, id := range chosen {
@@ -81,11 +42,25 @@ func ProtectedMap(orig *ir.Module, chosen []int) map[int]int {
 	}
 	mapping := make(map[int]int, orig.NumInstrs())
 	newID := 0
-	for _, in := range orig.Instrs {
-		mapping[in.ID] = newID
-		newID++
-		if chosenSet[in.ID] && Duplicable(in) {
-			newID += 3 // dup, cmp, detect
+	for _, f := range orig.Funcs {
+		for _, b := range f.Blocks {
+			lead, checks := b.LeadingPhis(), 0
+			for i, in := range b.Instrs {
+				if i == lead {
+					newID += checks // the group's compares and detects
+				}
+				mapping[in.ID] = newID
+				newID++
+				if !chosenSet[in.ID] || !Duplicable(in) {
+					continue
+				}
+				if i < lead {
+					newID++ // the dup phi joins the group
+					checks += 2
+				} else {
+					newID += 3 // dup, cmp, detect
+				}
+			}
 		}
 	}
 	return mapping

@@ -245,10 +245,16 @@ func (st *lowerState) atBlockHead(fi, bi int, instrs []*ir.Instr) {
 // LowerSelection applies a heterogeneous selection to m: every chosen
 // site is protected with its assigned detector (sel.Detectors parallel
 // to sel.Chosen; a nil Detectors slice means duplication everywhere,
-// which reproduces Duplicate byte-for-byte). The returned module is
-// finalized; use InstrMap for the ID translation.
+// which is Duplicate). The returned module is finalized; use InstrMap
+// for the ID translation.
+//
+// A detector's code for a non-phi site follows the site. For a site in
+// a block's leading phi group, the phis of that code join the group and
+// the rest follows the group, in site order: phis assign in parallel on
+// block entry, so the group must not be split.
 func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 	detOf := make(map[int]Detector, len(sel.Chosen))
+	needFacts := false
 	for i, id := range sel.Chosen {
 		d := DefaultDetector()
 		if i < len(sel.Detectors) && sel.Detectors[i] != "" {
@@ -258,34 +264,54 @@ func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 			}
 			d = dd
 		}
+		if _, dup := d.(dupDetector); !dup {
+			needFacts = true
+		}
 		detOf[id] = d
 	}
-	fx := FactsFor(m)
+	// Duplication consults only the instructions, so a dup-only
+	// selection skips the per-module analyses.
+	fx := &ModuleFacts{Mod: m}
+	if needFacts {
+		fx = FactsFor(m)
+	}
 	cp := m.Clone() // clone preserves IDs (same instruction order)
 	st := &lowerState{}
 	for _, f := range cp.Funcs {
+		protect := func(in *ir.Instr) []*ir.Instr {
+			d, ok := detOf[in.ID]
+			if !ok || !d.Applicable(fx, in.ID) {
+				return nil
+			}
+			return d.lower(st, fx, f, in)
+		}
 		for _, b := range f.Blocks {
+			lead := b.LeadingPhis()
 			out := make([]*ir.Instr, 0, len(b.Instrs))
-			for _, in := range b.Instrs {
+			var checks []*ir.Instr
+			for _, in := range b.Instrs[:lead] {
 				out = append(out, in)
-				d, ok := detOf[in.ID]
-				if !ok || !d.Applicable(fx, in.ID) {
-					continue
+				for _, c := range protect(in) {
+					if c.Op == ir.OpPhi {
+						out = append(out, c)
+					} else {
+						checks = append(checks, c)
+					}
 				}
-				out = append(out, d.lower(st, fx, f, in)...)
+			}
+			out = append(out, checks...)
+			for _, in := range b.Instrs[lead:] {
+				out = append(out, in)
+				out = append(out, protect(in)...)
 			}
 			b.Instrs = out
 		}
 	}
 	// Apply edge-assertion insertions after the leading phi group of
-	// each target block (phis must stay leading for the interpreter's
-	// parallel phi-group execution).
+	// each target block.
 	for key, instrs := range st.heads {
 		b := cp.Funcs[key[0]].Blocks[key[1]]
-		phis := 0
-		for phis < len(b.Instrs) && b.Instrs[phis].Op == ir.OpPhi {
-			phis++
-		}
+		phis := b.LeadingPhis()
 		rest := append([]*ir.Instr(nil), b.Instrs[phis:]...)
 		b.Instrs = append(append(b.Instrs[:phis:phis], instrs...), rest...)
 	}
